@@ -186,8 +186,9 @@ fn collect_file(
         }
 
         // Escapes by name: the ident is a whole call argument
-        // (`Reactor::new(gauge)`) or a field-init value (`depth: gauge,`)
-        // — the handle moves somewhere this pass cannot follow.
+        // (`Sampler::new(gauge)`) or a field-init value (`contention,` in
+        // `ShardedTable::new`) — the handle moves somewhere this pass
+        // cannot follow.
         {
             let prev_escape = i > 0
                 && (toks[i - 1].is_punct('(')
@@ -367,7 +368,7 @@ mod tests {
     #[test]
     fn handle_escaping_as_an_argument_is_assumed_written() {
         let src =
-            "fn f(t: &Registry) { let gauge = t.gauge(\"kernel.depth\"); Reactor::new(gauge); }";
+            "fn f(t: &Registry) { let gauge = t.gauge(\"kernel.depth\"); Sampler::new(gauge); }";
         let out = run(src, &no_docs());
         assert_eq!(out.len(), 1, "{out:#?}");
         assert_eq!(out[0].rule, RULE_UNDOCUMENTED_COUNTER, "escape ⇒ not dead");

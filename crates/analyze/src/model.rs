@@ -21,11 +21,6 @@
 //!   reference occupancy count, control events preempt and pop FIFO, a
 //!   stored push always wakes a parked consumer (no lost wakeup), and the
 //!   lock-free depth mirror equals the real occupancy after every step;
-//! * **steal-handoff exactly-once** (per-core reactors, §3f): an owner
-//!   popping its `StealQueue` from the front races a thief stealing from
-//!   the back while a router pushes — no event is delivered twice or
-//!   lost, and the notify-on-empty-transition wake protocol never strands
-//!   a parked owner;
 //! * **single-winner drain** (sharded delivery table, §3f): a raiser
 //!   inserting trackers races a receipt-path remove and the shutdown
 //!   drain — every tracker is resolved by exactly one party (removed,
@@ -38,7 +33,7 @@
 //! interleaving is equivalent to some serialization of whole calls.
 
 use doct_events::{MarkSeen, ThreadRegistry};
-use doct_kernel::{Insert, LocationCache, LocationCacheConfig, ShardedTable, StealQueue, ThreadId};
+use doct_kernel::{Insert, LocationCache, LocationCacheConfig, ShardedTable, ThreadId};
 use doct_net::NodeId;
 use doct_telemetry::{Counter, Registry};
 use std::collections::VecDeque;
@@ -330,8 +325,8 @@ pub fn check_seen_ring_eviction_window() -> ModelReport {
 /// * after every step, the lock-free depth mirror
 ///   ([`Mailbox::depth_handle`]) equals both the mailbox's real length
 ///   and the reference occupancy — a shed must never touch the mirror
-///   (the kernel sweep and the per-reactor depth gauges read it without
-///   the activation lock, so any drift miscounts load forever);
+///   (the kernel sweep's mailbox-depth sample reads it without the
+///   activation lock, so any drift miscounts load forever);
 /// * conservation: stored − popped events remain queued, stored + shed
 ///   equals pushes attempted. Shed is a typed outcome, never a silent
 ///   drop.
@@ -476,89 +471,6 @@ pub fn check_mailbox_overload_admission() -> ModelReport {
     }
 }
 
-/// Per-core reactors (§3f): a router pushes work onto one reactor's
-/// **real** `StealQueue` while the owning reactor pops from the front and
-/// an idle neighbour steals from the back. The model drives every
-/// interleaving of:
-///
-/// * T0 — router: two pushes. `StealQueue::push` reports whether the
-///   queue was empty, computed inside the queue's lock; the router wakes
-///   the owner exactly on that empty transition (clears the waiting
-///   flag), mirroring `NodeKernel::route`;
-/// * T1 — owner: three front pops, parking (waiting flag) on `None` —
-///   mirroring `run_reactor`'s pop-then-park loop;
-/// * T2 — thief: two back steals of one item each.
-///
-/// Invariants, on all 7!/(2!·3!·2!) = 210 schedules:
-/// * **exactly-once**: each pushed item is obtained by exactly one of
-///   owner-pop and thief-steal — a steal racing a pop never duplicates or
-///   loses an item;
-/// * **no lost wakeup**: after every step, a parked owner implies an
-///   empty queue. This is the load-bearing one: a steal can empty the
-///   queue *between* a push and the next push, and only because
-///   `was_empty` is computed under the queue lock does the next push
-///   re-arm the wake;
-/// * conservation: pushed = popped + stolen + remaining at the end.
-pub fn check_reactor_steal_handoff() -> ModelReport {
-    let counts = [2usize, 3, 2];
-    let schedules = interleavings(&counts);
-    let mut violations = Vec::new();
-
-    for sched in &schedules {
-        let queue: StealQueue<u32> = StealQueue::new();
-        let mut pc = [0usize; 3];
-        let mut waiting = false;
-        let mut popped: Vec<u32> = Vec::new();
-        let mut stolen: Vec<u32> = Vec::new();
-        let mut bad = |msg: String| violations.push(format!("schedule {sched:?}: {msg}"));
-
-        for &t in sched {
-            match t {
-                0 => {
-                    let item = 10 + pc[0] as u32;
-                    if queue.push(item) {
-                        // Empty transition: the router wakes the owner.
-                        waiting = false;
-                    }
-                }
-                1 => match queue.pop() {
-                    Some(item) => popped.push(item),
-                    None => waiting = true,
-                },
-                2 => stolen.extend(queue.steal(1)),
-                _ => unreachable!("schedule exceeds thread script"),
-            }
-            pc[t] += 1;
-            if waiting && !queue.is_empty() {
-                bad("lost wakeup: owner parked with work queued".into());
-            }
-        }
-
-        let mut obtained: Vec<u32> = popped.iter().chain(stolen.iter()).copied().collect();
-        obtained.sort_unstable();
-        if obtained.windows(2).any(|w| w[0] == w[1]) {
-            bad(format!(
-                "double delivery: popped {popped:?}, stolen {stolen:?}"
-            ));
-        }
-        if obtained.len() + queue.len() != counts[0] {
-            bad(format!(
-                "conservation broken: obtained {} + remaining {} != pushed {}",
-                obtained.len(),
-                queue.len(),
-                counts[0]
-            ));
-        }
-    }
-
-    ModelReport {
-        name: "reactor-steal-handoff",
-        schedules: schedules.len() as u64,
-        steps: counts.iter().sum(),
-        violations,
-    }
-}
-
 /// Sharded delivery table shutdown (§3f): a raiser registering trackers
 /// races the receipt path resolving them and the kernel's shutdown drain
 /// — on the **real** `ShardedTable`. Before the drain latch existed, an
@@ -650,7 +562,6 @@ pub fn run_all() -> Vec<ModelReport> {
         check_seen_ring_exactly_once(),
         check_seen_ring_eviction_window(),
         check_mailbox_overload_admission(),
-        check_reactor_steal_handoff(),
         check_sharded_table_drain(),
     ]
 }
@@ -722,18 +633,6 @@ mod tests {
         let report = check_mailbox_overload_admission();
         assert_eq!(report.schedules, 560, "8!/(2!·3!·3!) interleavings");
         assert_eq!(report.schedules, multinomial(&[2, 3, 3]));
-        assert!(
-            report.violations.is_empty(),
-            "violations: {:#?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn reactor_steal_model_holds_on_every_schedule() {
-        let report = check_reactor_steal_handoff();
-        assert_eq!(report.schedules, 210, "7!/(2!·3!·2!) interleavings");
-        assert_eq!(report.schedules, multinomial(&[2, 3, 2]));
         assert!(
             report.violations.is_empty(),
             "violations: {:#?}",

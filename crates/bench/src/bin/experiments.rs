@@ -60,15 +60,6 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
                 Err(e) => eprintln!("[e13: could not write BENCH_e13_overload.json: {e}]"),
             }
         }
-        "e14" => {
-            let rows = e14_reactor_scaling::run()?;
-            e14_reactor_scaling::table(&rows).print();
-            let json = e14_reactor_scaling::json(&rows);
-            match std::fs::write("BENCH_e14_reactor_scaling.json", &json) {
-                Ok(()) => eprintln!("[e14 sweep written to BENCH_e14_reactor_scaling.json]"),
-                Err(e) => eprintln!("[e14: could not write BENCH_e14_reactor_scaling.json: {e}]"),
-            }
-        }
         "e15" => {
             let rows = e15_zero_copy::run()?;
             e15_zero_copy::table(&rows).print();
@@ -78,7 +69,7 @@ fn run_one(which: &str) -> Result<(), doct_kernel::KernelError> {
                 Err(e) => eprintln!("[e15: could not write BENCH_e15_zero_copy.json: {e}]"),
             }
         }
-        other => eprintln!("unknown experiment {other:?} (expected e1..e15 or all)"),
+        other => eprintln!("unknown experiment {other:?} (expected e1..e13, e15 or all)"),
     }
     Ok(())
 }
@@ -103,8 +94,7 @@ fn main() {
     let full_json = args.iter().any(|a| a == "--telemetry");
     let args: Vec<String> = args.into_iter().filter(|a| a != "--telemetry").collect();
     let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
-        "e15",
+        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e15",
     ];
     let selected: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         all.to_vec()

@@ -22,7 +22,6 @@ pub mod e10_interest_lists;
 pub mod e11_partition_heal;
 pub mod e12_fanout_batch;
 pub mod e13_overload;
-pub mod e14_reactor_scaling;
 pub mod e15_zero_copy;
 pub mod e1_raise_table;
 pub mod e2_thread_location;

@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn depth_mirror_moves_on_stored_only_never_on_shed() {
-        // The sweep and the per-reactor depth gauges read this mirror
+        // The kernel sweep's mailbox-depth sample reads this mirror
         // without the activation lock; a shed that bumped it would
         // overstate the thread's load forever (nothing ever pops the
         // phantom entry). Increment-on-Stored-only is the contract.

@@ -86,13 +86,6 @@ pub struct KernelConfig {
     /// (overload control: control lane never sheds, timer/user lanes
     /// bounded; see `Mailbox`).
     pub mailbox: MailboxConfig,
-    /// Reactor workers per node. At 1 (the default) the kernel loop
-    /// handles messages inline, exactly as before; above 1 it becomes a
-    /// router feeding that many work-stealing reactor loops, with the
-    /// delivery table's shards swept `shard % reactors`-owned. The
-    /// `DOCT_REACTORS` environment variable overrides this cluster-wide
-    /// (see [`KernelConfig::effective_reactors`]).
-    pub reactors: usize,
     /// Transport fabric for inter-node messages. The `DOCT_FABRIC`
     /// environment variable (`sim` | `udp`) overrides this cluster-wide
     /// (see [`KernelConfig::effective_fabric`]), which is how the E11
@@ -113,7 +106,6 @@ impl Default for KernelConfig {
             invoke_timeout: Duration::from_secs(30),
             location_cache: LocationCacheConfig::default(),
             mailbox: MailboxConfig::default(),
-            reactors: 1,
             fabric: FabricChoice::default(),
         }
     }
@@ -159,26 +151,6 @@ impl KernelConfig {
         KernelConfig { mailbox, ..self }
     }
 
-    /// This config with the given reactor count (E14 sweeps 1/2/4/8).
-    pub fn with_reactors(self, reactors: usize) -> Self {
-        KernelConfig {
-            reactors: reactors.max(1),
-            ..self
-        }
-    }
-
-    /// The reactor count a kernel should actually run: the configured
-    /// value unless the `DOCT_REACTORS` environment variable overrides it
-    /// (the chaos-soak matrix uses this to re-run the whole suite
-    /// multi-reactor without touching each test's builder).
-    pub fn effective_reactors(&self) -> usize {
-        std::env::var("DOCT_REACTORS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(self.reactors)
-            .max(1)
-    }
-
     /// This config with the given transport fabric.
     pub fn with_fabric(self, fabric: FabricChoice) -> Self {
         KernelConfig { fabric, ..self }
@@ -216,7 +188,6 @@ mod tests {
             "the jump window must be narrower than the usefulness horizon"
         );
         assert!(c.mailbox.backpressure_hold < c.delivery_timeout);
-        assert_eq!(c.reactors, 1, "inline handling is the default");
     }
 
     #[test]
@@ -232,13 +203,6 @@ mod tests {
         let off = KernelConfig::default().without_location_cache();
         assert!(!off.location_cache.enabled);
         assert_eq!(off.locator, LocatorStrategy::PathTrace, "rest untouched");
-        let multi = KernelConfig::default().with_reactors(4);
-        assert_eq!(multi.reactors, 4);
-        assert_eq!(
-            KernelConfig::default().with_reactors(0).reactors,
-            1,
-            "zero reactors clamps to inline"
-        );
     }
 
     #[test]

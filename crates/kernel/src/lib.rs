@@ -58,7 +58,6 @@ mod mailbox;
 mod message;
 mod node;
 mod object;
-mod reactor;
 mod shard_table;
 mod tcb;
 mod value;
@@ -85,7 +84,6 @@ pub use node::{DeliverySummary, IoHub, KernelStats, NodeKernel, RaiseTicket, Tim
 pub use object::{
     ClassBuilder, ClassRegistry, ObjectBehavior, ObjectConfig, ObjectDirectory, ObjectRecord,
 };
-pub use reactor::StealQueue;
 pub use shard_table::{shard_of, Insert, ShardedTable, SHARDS};
 pub use tcb::{Hop, TcbTable, Trail};
 pub use value::{DecodeError, Value};

@@ -377,8 +377,8 @@ mod tests {
     fn depth_mirror_equals_occupancy_after_every_operation() {
         // Regression pin for the increment-on-Stored-only contract: a shed
         // must leave the mirror untouched, and the mirror must equal the
-        // real occupancy after *every* push/pop — the kernel sweep and the
-        // per-reactor depth gauges both trust this atomic without taking
+        // real occupancy after *every* push/pop — the kernel sweep's
+        // `kernel.mailbox_depth` sample trusts this atomic without taking
         // the activation lock.
         let mut m = Mailbox::new(tiny());
         let depth = m.depth_handle();

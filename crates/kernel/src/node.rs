@@ -6,7 +6,6 @@ use crate::activation::Activation;
 use crate::config::{KernelConfig, LocatorStrategy, ObjectEventExecution};
 use crate::location_cache::LocationCache;
 use crate::message::ReceiptVerdict;
-use crate::reactor::StealQueue;
 use crate::shard_table::{shard_of, Insert, ShardedTable};
 use crate::tcb::{TcbTable, Trail};
 use crate::{ClassRegistry, DefaultDispatcher};
@@ -17,8 +16,8 @@ use crate::{
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use doct_dsm::{DsmMessage, DsmNode, DsmTransport};
 use doct_net::{MessageClass, Network, NodeId};
-use doct_telemetry::{Gauge, RaiseVariant, Stage, Telemetry};
-use parking_lot::{Condvar, Mutex, RwLock};
+use doct_telemetry::{RaiseVariant, Stage, Telemetry};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -197,57 +196,6 @@ impl DsmTransport for KernelDsmTransport {
             .net
             .send(from, to, KernelMessage::Dsm(msg), MessageClass::Dsm);
     }
-}
-
-/// One reactor worker's shared state: its work queue, the park/wake
-/// latch the router pokes on an empty-to-nonempty transition (or to
-/// invite a steal), and its `kernel.reactor_depth.*` gauge.
-struct Reactor {
-    queue: StealQueue<(KernelMessage, NodeId)>,
-    wake_pending: Mutex<bool>,
-    wake: Condvar,
-    depth: Gauge,
-}
-
-impl Reactor {
-    fn new(depth: Gauge) -> Self {
-        Reactor {
-            queue: StealQueue::new(),
-            wake_pending: Mutex::new(false),
-            wake: Condvar::new(),
-            depth,
-        }
-    }
-
-    /// Wake the worker if parked; a worker that races past the notify
-    /// still sees the pending flag before it next sleeps, so the wakeup
-    /// cannot be lost.
-    fn wake(&self) {
-        let mut pending = self.wake_pending.lock();
-        *pending = true;
-        self.wake.notify_one();
-    }
-
-    /// Park until woken or `deadline` (bounded at one sweep slice so
-    /// shutdown is always noticed promptly).
-    fn park_until(&self, deadline: Instant) {
-        let mut pending = self.wake_pending.lock();
-        if !*pending {
-            let wait = deadline
-                .saturating_duration_since(Instant::now())
-                .min(Duration::from_millis(50));
-            let _ = self.wake.wait_for(&mut pending, wait);
-        }
-        *pending = false;
-    }
-}
-
-/// Reactor affinity for a thread: every delivery probing one target lands
-/// on one reactor (absent steals), so that thread's mailbox pushes never
-/// contend across workers.
-fn thread_slot(thread: ThreadId, reactors: usize) -> usize {
-    let key = (u64::from(thread.root.0) << 32) | u64::from(thread.seq);
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % reactors
 }
 
 /// One node of the DO/CT cluster.
@@ -542,18 +490,11 @@ impl NodeKernel {
                 }
             }
         });
-        let reactors = self.config.effective_reactors();
         let k = Arc::clone(self);
         handles.push(
             std::thread::Builder::new()
                 .name(format!("kernel-loop-{}", self.node))
-                .spawn(move || {
-                    if reactors <= 1 {
-                        k.run_loop(rx);
-                    } else {
-                        k.run_router(rx, reactors);
-                    }
-                })
+                .spawn(move || k.run_loop(rx))
                 .expect("spawn kernel loop"),
         );
         if self.config.object_events == ObjectEventExecution::Master {
@@ -605,143 +546,6 @@ impl NodeKernel {
                     return;
                 }
             }
-        }
-    }
-
-    /// Multi-reactor front end (`reactors > 1`): drain the node's wire
-    /// mailbox and distribute work across `n` reactor workers by shard /
-    /// thread affinity. Order-sensitive traffic (DSM protocol messages,
-    /// invocation replies, object events) is handled inline on this
-    /// thread, exactly as the single-reactor loop would.
-    fn run_router(self: Arc<Self>, rx: Receiver<doct_net::Envelope<KernelMessage>>, n: usize) {
-        const ROUTER_TICK: Duration = Duration::from_millis(50);
-        let reactors: Vec<Arc<Reactor>> = (0..n)
-            .map(|r| {
-                let gauge = self
-                    .telemetry
-                    .gauge(&format!("kernel.reactor_depth.n{}.r{r}", self.node.0));
-                Arc::new(Reactor::new(gauge))
-            })
-            .collect();
-        let mut workers = Vec::with_capacity(n);
-        for r in 0..n {
-            let k = Arc::clone(&self);
-            let rs = reactors.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("reactor-{}-{r}", self.node))
-                    .spawn(move || k.run_reactor(r, &rs))
-                    .expect("spawn reactor"),
-            );
-        }
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            match rx.recv_timeout(ROUTER_TICK) {
-                Ok(env) => {
-                    if matches!(env.payload, KernelMessage::Shutdown) {
-                        self.shutdown.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    self.route(&reactors, env.payload, env.src);
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    self.shutdown.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        // Stop the workers before draining, so no reactor-side receipt
-        // handler races the drain; raiser threads still inserting race it
-        // too, which is why the table refuses inserts once draining.
-        for r in &reactors {
-            r.wake();
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        self.drain_deliveries_as_lost();
-    }
-
-    /// Route one wire message to its reactor (or handle it inline).
-    fn route(self: &Arc<Self>, reactors: &[Arc<Reactor>], msg: KernelMessage, src: NodeId) {
-        /// Queue depth past which the router invites the neighbour to
-        /// steal even though the owner is already awake.
-        const INVITE_DEPTH: usize = 8;
-        let n = reactors.len();
-        let r = match &msg {
-            // Receipts go to the reactor that owns the delivery's shard,
-            // so shard sweeps and receipt resolution share a home.
-            KernelMessage::DeliverReceipt { delivery_id, .. } => shard_of(*delivery_id) % n,
-            KernelMessage::DeliverThread { target, .. } => thread_slot(*target, n),
-            KernelMessage::SyncResume { raiser, .. } => thread_slot(*raiser, n),
-            KernelMessage::Invoke { call_id, .. } => (*call_id as usize) % n,
-            // DSM protocol traffic, invocation replies and object events
-            // keep their wire order: handled inline on the router thread.
-            KernelMessage::Dsm(_)
-            | KernelMessage::InvokeReply { .. }
-            | KernelMessage::DeliverObject { .. }
-            | KernelMessage::Shutdown => {
-                self.handle(msg, src);
-                return;
-            }
-        };
-        let was_empty = reactors[r].queue.push((msg, src));
-        reactors[r].depth.add(1);
-        if was_empty {
-            reactors[r].wake();
-        } else if reactors[r].queue.len() >= INVITE_DEPTH {
-            reactors[(r + 1) % n].wake();
-        }
-    }
-
-    /// One reactor worker: drain the owned queue in batches, steal from
-    /// the deepest sibling when idle, sweep the owned delivery shards on
-    /// the usual cadence, park otherwise.
-    fn run_reactor(self: Arc<Self>, r: usize, reactors: &[Arc<Reactor>]) {
-        const SWEEP_EVERY: Duration = Duration::from_millis(50);
-        const BATCH: usize = 64;
-        let n = reactors.len();
-        let mut next_sweep = Instant::now() + SWEEP_EVERY;
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            let now = Instant::now();
-            if now >= next_sweep {
-                self.sweep_shards(r, n);
-                if r == 0 {
-                    self.sample_mailbox_depths();
-                }
-                next_sweep = now + SWEEP_EVERY;
-            }
-            let batch = reactors[r].queue.pop_batch(BATCH);
-            if !batch.is_empty() {
-                reactors[r].depth.add(-(batch.len() as i64));
-                for (msg, src) in batch {
-                    self.handle(msg, src);
-                }
-                continue;
-            }
-            // Idle: steal the youngest run from the deepest sibling.
-            let victim = (0..n)
-                .filter(|&v| v != r)
-                .max_by_key(|&v| reactors[v].queue.len())
-                .filter(|&v| !reactors[v].queue.is_empty());
-            if let Some(v) = victim {
-                let stolen = reactors[v].queue.steal(BATCH / 2);
-                if !stolen.is_empty() {
-                    reactors[v].depth.add(-(stolen.len() as i64));
-                    self.telemetry.counter("kernel.reactor_steals").inc();
-                    for (msg, src) in stolen {
-                        self.handle(msg, src);
-                    }
-                    continue;
-                }
-            }
-            reactors[r].park_until(next_sweep);
         }
     }
 
@@ -1753,17 +1557,10 @@ impl NodeKernel {
         }
     }
 
-    /// Single-reactor sweep: every shard, plus the mailbox-depth sample.
+    /// Sweep every delivery shard, one shard lock at a time — a long
+    /// sweep never stalls registration or receipts on the other shards —
+    /// then sample the mailbox depths.
     fn sweep_deliveries(self: &Arc<Self>) {
-        self.sweep_shards(0, 1);
-        self.sample_mailbox_depths();
-    }
-
-    /// Sweep the delivery shards owned by reactor `owner` out of `stride`
-    /// (shard `s` belongs to reactor `s % stride`), one shard lock at a
-    /// time — a long sweep never stalls registration or receipts on the
-    /// other shards.
-    fn sweep_shards(self: &Arc<Self>, owner: usize, stride: usize) {
         let now = Instant::now();
         let detector_on = self.net.reliability_enabled();
         // Deliveries whose hint probe expired; probed again (as a full
@@ -1773,8 +1570,7 @@ impl NodeKernel {
         // Trackers the sweep resolves; their raisers are notified only
         // after the shard locks are released (collect-then-send).
         let mut resolved: Vec<(Sender<DeliveryStatus>, DeliveryStatus)> = Vec::new();
-        let mut idx = owner;
-        while idx < self.deliveries.shard_count() {
+        for idx in 0..self.deliveries.shard_count() {
             let mut shard = self.deliveries.lock_shard(idx);
             shard.entries.retain(|id, t| {
                 if now >= t.deadline {
@@ -1820,13 +1616,12 @@ impl NodeKernel {
                 }
                 true
             });
-            drop(shard);
-            idx += stride;
         }
         for (tx, status) in resolved {
             let _ = tx.send(status);
         }
         self.send_probe_wave(&hint_fallbacks);
+        self.sample_mailbox_depths();
     }
 
     /// Sample every local activation's mailbox depth into the

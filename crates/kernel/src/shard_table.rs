@@ -24,8 +24,9 @@ use doct_telemetry::Counter;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 
-/// Number of lock stripes. Tuned like the location cache: enough that 8
-/// reactors rarely collide, few enough that a full sweep stays cheap.
+/// Number of lock stripes. Tuned like the location cache: enough that
+/// concurrent raisers and the kernel loop rarely collide, few enough that
+/// a full sweep stays cheap.
 pub const SHARDS: usize = 16;
 
 /// Stripe index for a delivery id (Fibonacci-mix then stripe, same
@@ -78,7 +79,7 @@ impl<V> ShardedTable<V> {
         }
     }
 
-    /// Number of stripes (reactor sweep ownership is `shard % reactors`).
+    /// Number of stripes (the kernel sweep walks them in index order).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
