@@ -2,14 +2,14 @@
 //!
 //! A group raise under the multicast locator probes every node hosting a
 //! member, once per member: `members × hosting-nodes` co-destined probes
-//! per raise. The batching layer in `doct-net` accumulates co-destined
-//! reliable transfers per `(src, dst)` pair and seals them into one
-//! `BatchEnvelope` (one seq, one wire hop), and receipts riding back get
-//! the same treatment through the response windows the batch arms. This
-//! sweep measures the wire-message reduction that buys, against the
-//! `with_batching(false)` ablation, across group size × hosting-node
-//! span — with raise latency alongside to show the deadline does not
-//! cost tail time at these scales.
+//! per raise. The kernel hands each node's probes to the fabric in one
+//! `send_many`, which seals them into one `BatchEnvelope` (one seq, one
+//! wire hop); the receiving kernel loop collects the receipts it makes
+//! while handling the batch and sends them back as one batch after its
+//! last payload. This sweep measures the wire-message reduction that
+//! buys, against the `with_batching(false)` ablation, across group size ×
+//! hosting-node span — with raise latency alongside to show batching
+//! costs no tail time at these scales.
 
 use crate::Table;
 use doct_kernel::{

@@ -103,6 +103,29 @@ struct DeliveryTracker {
     result_tx: Sender<DeliveryStatus>,
 }
 
+/// The kernel loop's own sends while it handles the payloads of one
+/// delivered wire batch (DESIGN.md §3d). Receipts, trail forwards and
+/// anchor sends collect per destination and leave as one `send_many`
+/// each after the batch's last payload, so a batch's answers ride back
+/// as a batch. Outside a batch (`collecting` false) every send is
+/// immediate.
+#[derive(Default)]
+struct Outbox {
+    collecting: bool,
+    per_dst: BTreeMap<NodeId, Vec<(MessageClass, KernelMessage)>>,
+}
+
+/// What the location cache made of a delivery's first probe.
+enum HintProbe {
+    /// No usable hint: probe with the locator wave.
+    Miss,
+    /// Hint armed on the tracker: probe this node alone.
+    Armed(NodeId),
+    /// Resolved without a probe (shed at the source), or the tracker is
+    /// already gone.
+    Settled,
+}
+
 /// A pending receipt set for one raise; resolves to a
 /// [`DeliverySummary`].
 #[must_use = "receipts resolve asynchronously: wait() for the summary or detach() explicitly"]
@@ -520,9 +543,13 @@ impl NodeKernel {
         // under sustained inbound traffic `recv_timeout` never expires,
         // and delivery retries/timeouts (and hint fallbacks) would starve.
         let mut next_sweep = Instant::now() + SWEEP_EVERY;
+        let mut outbox = Outbox::default();
         loop {
             let now = Instant::now();
             if now >= next_sweep {
+                // Backstop: a batch whose last payload never came strands
+                // nothing for longer than one sweep.
+                self.flush_outbox(&mut outbox);
                 if self.shutdown.load(Ordering::Relaxed) {
                     self.drain_deliveries_as_lost();
                     return;
@@ -534,18 +561,50 @@ impl NodeKernel {
             match rx.recv_timeout(wait) {
                 Ok(env) => {
                     if matches!(env.payload, KernelMessage::Shutdown) {
+                        self.flush_outbox(&mut outbox);
                         self.shutdown.store(true, Ordering::Relaxed);
                         self.drain_deliveries_as_lost();
                         return;
                     }
-                    self.handle(env.payload, env.src);
+                    // The fabric stamps each payload of a delivered batch
+                    // with the count still to come: collect the batch's
+                    // answers and send them after its last payload.
+                    outbox.collecting |= env.batch_left > 0;
+                    self.handle(env.payload, env.src, &mut outbox);
+                    if env.batch_left == 0 {
+                        self.flush_outbox(&mut outbox);
+                    }
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                    self.flush_outbox(&mut outbox);
                     self.drain_deliveries_as_lost();
                     return;
                 }
             }
+        }
+    }
+
+    /// Send a `Locate`-class message on the loop's behalf: into `out`
+    /// while it collects a batch's answers, straight to the fabric
+    /// otherwise.
+    fn send_locate(&self, out: &mut Outbox, dst: NodeId, msg: KernelMessage) {
+        if out.collecting {
+            out.per_dst
+                .entry(dst)
+                .or_default()
+                .push((MessageClass::Locate, msg));
+        } else {
+            let _ = self.net.send(self.node, dst, msg, MessageClass::Locate);
+        }
+    }
+
+    /// Send everything `out` collected, one `send_many` per destination,
+    /// and stop collecting.
+    fn flush_outbox(&self, out: &mut Outbox) {
+        out.collecting = false;
+        for (dst, items) in std::mem::take(&mut out.per_dst) {
+            let _ = self.net.send_many(self.node, dst, items);
         }
     }
 
@@ -587,7 +646,7 @@ impl NodeKernel {
         self.shutdown.store(true, Ordering::Relaxed);
     }
 
-    fn handle(self: &Arc<Self>, msg: KernelMessage, src: NodeId) {
+    fn handle(self: &Arc<Self>, msg: KernelMessage, src: NodeId, out: &mut Outbox) {
         match msg {
             KernelMessage::Invoke {
                 call_id,
@@ -619,13 +678,20 @@ impl NodeKernel {
                 hops,
                 anchor,
                 hinted,
-            } => {
-                self.handle_deliver_thread(event, target, origin, delivery_id, hops, anchor, hinted)
-            }
+            } => self.handle_deliver_thread(
+                event,
+                target,
+                origin,
+                delivery_id,
+                hops,
+                anchor,
+                hinted,
+                out,
+            ),
             KernelMessage::DeliverReceipt {
                 delivery_id,
                 verdict,
-            } => self.handle_receipt(delivery_id, verdict),
+            } => self.handle_receipt(delivery_id, verdict, out),
             KernelMessage::DeliverObject { event, object } => {
                 self.enqueue_object_event(object, event)
             }
@@ -1054,9 +1120,10 @@ impl NodeKernel {
     /// Begin delivering `event` to every thread in `targets`, returning
     /// one status receiver per target, in order. Local tips are served
     /// inline; the remaining targets are registered as trackers and then
-    /// probed in one destination-sorted wave, so a group raise hands the
-    /// transport all co-destined probes together (one wire batch per
-    /// destination, DESIGN.md §3d) instead of a locator wave per member.
+    /// probed in one destination-sorted wave — hinted and locator-wave
+    /// probes alike — so a group raise hands the transport all
+    /// co-destined probes together: one wire batch per destination
+    /// (DESIGN.md §3d), warm or cold.
     fn start_group_deliveries(
         self: &Arc<Self>,
         targets: Vec<ThreadId>,
@@ -1122,13 +1189,14 @@ impl NodeKernel {
     }
 
     /// Send probe waves for a set of registered deliveries — or, per
-    /// delivery on its first attempt, a single unicast fast-path probe
-    /// when the location cache holds a hint for its target. Wave probes
+    /// delivery on its first attempt, a single fast-path probe to the
+    /// node the location cache hints at. All probes, hinted and waved,
     /// are grouped by destination node (sorted, so fan-out order is
-    /// deterministic) and handed to [`Network::send_many`], which
-    /// coalesces co-destined probes into one wire batch.
+    /// deterministic) and handed to [`Network::send_many`], which seals
+    /// co-destined probes into one wire batch.
     fn send_probe_wave(self: &Arc<Self>, delivery_ids: &[u64]) {
-        let mut per_dst: BTreeMap<NodeId, Vec<(u64, KernelMessage)>> = BTreeMap::new();
+        // Per destination: (delivery id, hinted, probe).
+        let mut per_dst: BTreeMap<NodeId, Vec<(u64, bool, KernelMessage)>> = BTreeMap::new();
         // PathTrace deliveries rooted here run without a wire hop; they
         // are processed after aggregation so the recursive handling never
         // overlaps the bookkeeping below.
@@ -1141,8 +1209,29 @@ impl NodeKernel {
             else {
                 continue;
             };
-            if try_hint && self.send_hint_probe(delivery_id, &event, target) {
-                continue;
+            if try_hint {
+                match self.arm_hint_probe(delivery_id, &event, target) {
+                    HintProbe::Miss => {}
+                    HintProbe::Settled => continue,
+                    HintProbe::Armed(node) => {
+                        self.trace(event.seq, Stage::Send);
+                        self.net.stats().record_hint_unicast();
+                        let probe = KernelMessage::DeliverThread {
+                            event,
+                            target,
+                            origin: self.node,
+                            delivery_id,
+                            hops: 0,
+                            anchor: false,
+                            hinted: true,
+                        };
+                        per_dst
+                            .entry(node)
+                            .or_default()
+                            .push((delivery_id, true, probe));
+                        continue;
+                    }
+                }
             }
             self.trace(event.seq, Stage::Send);
             if self.config.locator == LocatorStrategy::PathTrace && target.root == self.node {
@@ -1163,10 +1252,11 @@ impl NodeKernel {
                     self.net.stats().record_broadcast();
                     for dst in self.net.nodes() {
                         if dst != self.node {
-                            per_dst
-                                .entry(dst)
-                                .or_default()
-                                .push((delivery_id, probe.clone()));
+                            per_dst.entry(dst).or_default().push((
+                                delivery_id,
+                                false,
+                                probe.clone(),
+                            ));
                         }
                     }
                 }
@@ -1174,7 +1264,7 @@ impl NodeKernel {
                     per_dst
                         .entry(target.root)
                         .or_default()
-                        .push((delivery_id, probe));
+                        .push((delivery_id, false, probe));
                 }
                 LocatorStrategy::Multicast => {
                     self.net.stats().record_multicast();
@@ -1184,10 +1274,11 @@ impl NodeKernel {
                         .members(target.multicast_group())
                     {
                         if dst != self.node {
-                            per_dst
-                                .entry(dst)
-                                .or_default()
-                                .push((delivery_id, probe.clone()));
+                            per_dst.entry(dst).or_default().push((
+                                delivery_id,
+                                false,
+                                probe.clone(),
+                            ));
                         }
                     }
                 }
@@ -1195,22 +1286,28 @@ impl NodeKernel {
             waved.push(delivery_id);
         }
         // One send_many per destination: co-destined probes (typically a
-        // multicast raise's members on one node) share a wire batch.
+        // group raise's members on one node) share a wire batch.
         let mut sent_counts: HashMap<u64, usize> = HashMap::new();
+        let mut unsent_hints = Vec::new();
         for (dst, entries) in per_dst {
-            let ids: Vec<u64> = entries.iter().map(|(id, _)| *id).collect();
+            let mut ids = Vec::with_capacity(entries.len());
             let items: Vec<(MessageClass, KernelMessage)> = entries
                 .into_iter()
-                .map(|(_, m)| (MessageClass::Locate, m))
+                .map(|(id, hinted, m)| {
+                    ids.push((id, hinted));
+                    (MessageClass::Locate, m)
+                })
                 .collect();
             let sent = self
                 .net
                 .send_many(self.node, dst, items)
                 .map(|o| o.is_sent())
                 .unwrap_or(false);
-            if sent {
-                for id in ids {
-                    *sent_counts.entry(id).or_insert(0) += 1;
+            for (id, hinted) in ids {
+                match (hinted, sent) {
+                    (true, false) => unsent_hints.push(id),
+                    (false, true) => *sent_counts.entry(id).or_insert(0) += 1,
+                    _ => {}
                 }
             }
         }
@@ -1234,44 +1331,58 @@ impl NodeKernel {
         for tx in dead {
             let _ = tx.send(DeliveryStatus::TargetDead);
         }
+        // Unreliable transport and the link is down: an unsent hint probe
+        // is an immediate "not here", so its wave fallback runs now.
+        for delivery_id in unsent_hints {
+            self.handle_receipt(delivery_id, ReceiptVerdict::NotHere, &mut Outbox::default());
+        }
         for (delivery_id, event, target) in inline_root {
             // We are the root but the tip is not here: follow our own
             // trail without a network hop. One receipt will come back
             // (possibly inline), so account for it first.
             let _ = self.deliveries.with_mut(delivery_id, |t| t.outstanding = 1);
-            self.handle_deliver_thread(event, target, self.node, delivery_id, 0, false, false);
+            self.handle_deliver_thread(
+                event,
+                target,
+                self.node,
+                delivery_id,
+                0,
+                false,
+                false,
+                &mut Outbox::default(),
+            );
         }
     }
 
     /// Try the location-cache fast path for a delivery: if a (usable)
-    /// hint exists, send one unicast probe to the hinted node and record
-    /// the hint on the tracker so a "not here" receipt or a sweep-side
-    /// timeout falls back to the full wave. Returns `true` when the probe
-    /// went out (or the fallback was already triggered inline).
-    fn send_hint_probe(
+    /// hint exists, record it on the tracker so a "not here" receipt or a
+    /// sweep-side timeout falls back to the full wave, and name the node
+    /// to probe. The caller sends the probe, grouped with the rest of
+    /// its wave.
+    fn arm_hint_probe(
         self: &Arc<Self>,
         delivery_id: u64,
         event: &WireEvent,
         target: ThreadId,
-    ) -> bool {
+    ) -> HintProbe {
         let Some(cache) = &self.location_cache else {
-            return false;
+            return HintProbe::Miss;
         };
         let Some((node, generation)) = cache.lookup(target) else {
-            return false;
+            return HintProbe::Miss;
         };
         if node == self.node {
             // The local fast path already failed before this delivery was
             // registered, so a self-hint is worthless: drop it and wave.
             cache.invalidate(target);
-            return false;
+            return HintProbe::Miss;
         }
         if self.net.reliability_enabled()
             && self.net.peer_state(self.node, node) == Some(doct_net::PeerState::Dead)
         {
             // Never wait on a hint the failure detector has disproved.
             cache.invalidate(target);
-            return false;
+            return HintProbe::Miss;
         }
         // Source shedding: the hinted node recently shed on us. Resolve a
         // sheddable raise as Overloaded right here instead of feeding the
@@ -1285,7 +1396,7 @@ impl NodeKernel {
                 self.telemetry.counter("delivery.overloaded").inc();
                 let _ = t.result_tx.send(DeliveryStatus::Overloaded(node));
             }
-            return true;
+            return HintProbe::Settled;
         }
         let armed = self.deliveries.with_mut(delivery_id, |t| {
             t.hint_spent = true;
@@ -1296,30 +1407,10 @@ impl NodeKernel {
             ));
             t.outstanding = 1;
         });
-        if armed.is_none() {
-            return true;
+        match armed {
+            Some(()) => HintProbe::Armed(node),
+            None => HintProbe::Settled,
         }
-        self.trace(event.seq, Stage::Send);
-        let msg = KernelMessage::DeliverThread {
-            event: event.clone(),
-            target,
-            origin: self.node,
-            delivery_id,
-            hops: 0,
-            anchor: false,
-            hinted: true,
-        };
-        let sent = self
-            .net
-            .send_hinted(self.node, node, msg, MessageClass::Locate)
-            .map(|o| o.is_sent())
-            .unwrap_or(false);
-        if !sent {
-            // Unreliable transport and the link is down: treat it as an
-            // immediate "not here" so the wave fallback runs now.
-            self.handle_receipt(delivery_id, ReceiptVerdict::NotHere);
-        }
-        true
     }
 
     /// A probe arrived: enqueue here, forward along the trail, or report
@@ -1334,22 +1425,8 @@ impl NodeKernel {
         hops: u32,
         anchor: bool,
         hinted: bool,
+        out: &mut Outbox,
     ) {
-        let receipt = |verdict: ReceiptVerdict| {
-            if origin == self.node {
-                self.handle_receipt(delivery_id, verdict);
-            } else {
-                let _ = self.net.send(
-                    self.node,
-                    origin,
-                    KernelMessage::DeliverReceipt {
-                        delivery_id,
-                        verdict,
-                    },
-                    MessageClass::Locate,
-                );
-            }
-        };
         // Enqueue at this node's activation, turning the mailbox's
         // admission into the receipt verdict: a shed is *reported*, not
         // silently dropped, and rides the (coalesced) receipt back to the
@@ -1367,42 +1444,32 @@ impl NodeKernel {
                 }
             }
         };
-        if anchor {
+        let verdict = if anchor {
             // Sticky delivery at the root: the thread is alive here (any
             // trail), just too fast for the probes; leave the event in its
             // root activation, drained at its next delivery point here.
             let alive = self.tcbs.trail(target) != Trail::Unknown;
-            if alive {
-                if let Some(act) = self.activation(target) {
-                    receipt(admit(&act, event));
-                    return;
-                }
+            match self.activation(target) {
+                Some(act) if alive => admit(&act, event),
+                _ => ReceiptVerdict::NotHere,
             }
-            receipt(ReceiptVerdict::NotHere);
-            return;
-        }
-        match self.tcbs.trail(target) {
-            Trail::TipHere => {
-                if let Some(act) = self.activation(target) {
-                    receipt(admit(&act, event));
-                } else {
-                    receipt(ReceiptVerdict::NotHere);
-                }
-            }
-            Trail::Forward(next) => {
-                // Hinted unicast probes chase a short forwarding trail
-                // even under broadcast/multicast: the thread usually made
-                // one hop since the hint was recorded, and the wave
-                // fallback still covers longer moves.
-                const HINT_CHASE_HOPS: u32 = 3;
-                if self.config.locator == LocatorStrategy::PathTrace
-                    || (hinted && hops < HINT_CHASE_HOPS)
-                {
-                    self.trace(event.seq, Stage::Send);
-                    let _ = self.net.send(
-                        self.node,
-                        next,
-                        KernelMessage::DeliverThread {
+        } else {
+            match self.tcbs.trail(target) {
+                Trail::TipHere => match self.activation(target) {
+                    Some(act) => admit(&act, event),
+                    None => ReceiptVerdict::NotHere,
+                },
+                Trail::Forward(next) => {
+                    // Hinted unicast probes chase a short forwarding trail
+                    // even under broadcast/multicast: the thread usually
+                    // made one hop since the hint was recorded, and the
+                    // wave fallback still covers longer moves.
+                    const HINT_CHASE_HOPS: u32 = 3;
+                    if self.config.locator == LocatorStrategy::PathTrace
+                        || (hinted && hops < HINT_CHASE_HOPS)
+                    {
+                        self.trace(event.seq, Stage::Send);
+                        let msg = KernelMessage::DeliverThread {
                             event,
                             target,
                             origin,
@@ -1410,19 +1477,33 @@ impl NodeKernel {
                             hops: hops + 1,
                             anchor: false,
                             hinted,
-                        },
-                        MessageClass::Locate,
-                    );
-                } else {
+                        };
+                        self.send_locate(out, next, msg);
+                        return;
+                    }
                     // Broadcast/multicast probes cover the tip directly.
-                    receipt(ReceiptVerdict::NotHere);
+                    ReceiptVerdict::NotHere
                 }
+                Trail::Unknown => ReceiptVerdict::NotHere,
             }
-            Trail::Unknown => receipt(ReceiptVerdict::NotHere),
+        };
+        if origin == self.node {
+            self.handle_receipt(delivery_id, verdict, out);
+        } else {
+            let msg = KernelMessage::DeliverReceipt {
+                delivery_id,
+                verdict,
+            };
+            self.send_locate(out, origin, msg);
         }
     }
 
-    fn handle_receipt(self: &Arc<Self>, delivery_id: u64, verdict: ReceiptVerdict) {
+    fn handle_receipt(
+        self: &Arc<Self>,
+        delivery_id: u64,
+        verdict: ReceiptVerdict,
+        out: &mut Outbox,
+    ) {
         let mut retry = false;
         // A resolved tracker's raiser is notified only after the
         // deliveries lock is released (collect-then-send).
@@ -1501,9 +1582,9 @@ impl NodeKernel {
                             let root = t.target.root;
                             drop(shard);
                             if root == self.node {
-                                self.handle(msg, self.node);
+                                self.handle(msg, self.node, out);
                             } else {
-                                let _ = self.net.send(self.node, root, msg, MessageClass::Locate);
+                                self.send_locate(out, root, msg);
                             }
                             return;
                         } else {

@@ -405,6 +405,7 @@ pub(crate) fn decode_frame<M: WireCodec>(datagram: &Bytes) -> Result<Frame<M>, C
                 dst,
                 class,
                 seq,
+                batch_left: 0,
                 payload,
             })))
         }
@@ -440,6 +441,7 @@ mod tests {
             dst: NodeId(2),
             class: MessageClass::Event,
             seq,
+            batch_left: 0,
             payload: payload.to_string(),
         })
     }
@@ -507,6 +509,7 @@ mod tests {
             dst: NodeId(1),
             class: MessageClass::Data,
             seq: 3,
+            batch_left: 0,
             payload,
         });
         let datagram = Bytes::from_vec(encode_transfer(&t).expect("encode"));
@@ -655,6 +658,7 @@ mod tests {
             dst: NodeId(1),
             class: MessageClass::Data,
             seq: 2,
+            batch_left: 0,
             payload: vec![0xFF, 0xFE, 0xFD],
         });
         let frame = encode_transfer(&t).expect("encode");

@@ -147,6 +147,7 @@ mod tests {
             dst: NodeId(0),
             class: MessageClass::Data,
             seq: 0,
+            batch_left: 0,
             payload,
         }
     }

@@ -95,6 +95,11 @@ pub struct Envelope<M> {
     /// sends carry a unique non-zero seq so the receiving side of the
     /// fabric can acknowledge and deduplicate retransmissions.
     pub seq: u64,
+    /// Payloads of the same wire batch still to come after this one:
+    /// the delivery path stamps it while unpacking a [`BatchEnvelope`],
+    /// so a receiver knows where the batch ends. `0` for a single and for
+    /// a batch's last payload.
+    pub batch_left: u32,
     /// The payload.
     pub payload: M,
 }
@@ -102,10 +107,11 @@ pub struct Envelope<M> {
 /// Many co-destined payloads riding one wire hop under one sequence
 /// number: the unit of the batched fan-out path.
 ///
-/// The reliability layer seals a batch from its per-(src, dst)
-/// accumulation buffer, tracks and retransmits it as a single entry, and
-/// the delivery path unpacks it into one mailbox [`Envelope`] per payload
-/// (each stamped with the batch's seq). Receiver-side dedupe operates on
+/// The reliability layer seals a batch from the payloads of one
+/// `Network::send_many` call, tracks and retransmits it as a single
+/// entry, and the delivery path unpacks it into one mailbox [`Envelope`]
+/// per payload (each stamped with the batch's seq and the count of
+/// payloads still to come). Receiver-side dedupe operates on
 /// the batch seq, so a retransmitted batch is suppressed whole and
 /// exactly-once delivery survives coalescing.
 #[derive(Debug, Clone)]
@@ -153,6 +159,7 @@ impl<M> Transfer<M> {
     }
 
     /// Logical payloads carried (1 for singles).
+    #[cfg(test)]
     pub(crate) fn payload_count(&self) -> usize {
         match self {
             Transfer::Single(_) => 1,
@@ -202,6 +209,7 @@ mod tests {
             dst: NodeId(2),
             class: MessageClass::Locate,
             seq: 9,
+            batch_left: 0,
             payload: 0,
         });
         assert_eq!(

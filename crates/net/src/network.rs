@@ -130,9 +130,10 @@ impl<M: Send + 'static> DeliveryPath<M> {
     /// Deliver `transfer` into its destination mailbox. Reliable
     /// transfers (`seq != 0`) are deduplicated and acknowledged here;
     /// batches are unpacked into one mailbox envelope per payload, each
-    /// stamped with the batch's seq, after the single dedupe decision —
-    /// so a retransmitted batch is suppressed whole and exactly-once
-    /// survives coalescing.
+    /// stamped with the batch's seq and the number of payloads still to
+    /// come, after the single dedupe decision — so a retransmitted batch
+    /// is suppressed whole, exactly-once survives coalescing, and the
+    /// receiver can tell where the batch ends.
     ///
     /// With reliability enabled, a transfer claiming the best-effort
     /// `seq: 0` is **rejected** (`net.wire_rejects`): the reliable fabric
@@ -161,19 +162,21 @@ impl<M: Send + 'static> DeliveryPath<M> {
                 return true;
             }
         }
-        let payload_count = transfer.payload_count();
         let pushed = match self.senders.get(dst.index()) {
             Some(tx) => match transfer {
                 Transfer::Single(env) => tx.send(env).is_ok(),
                 Transfer::Batch(mut batch) => {
                     let mut ok = true;
+                    let mut left = batch.payloads.len();
                     for (class, payload) in batch.payloads.drain(..) {
+                        left -= 1;
                         ok &= tx
                             .send(Envelope {
                                 src,
                                 dst,
                                 class,
                                 seq,
+                                batch_left: u32::try_from(left).unwrap_or(u32::MAX),
                                 payload,
                             })
                             .is_ok();
@@ -201,12 +204,6 @@ impl<M: Send + 'static> DeliveryPath<M> {
             return false;
         }
         if let Some(rel) = &reliable {
-            if payload_count > 1 {
-                // A batch just landed; its responses (receipts) flow
-                // dst → src shortly. Arm a response window so they ride
-                // back coalesced instead of one by one.
-                rel.arm_response_window(dst, src, payload_count, clock::now());
-            }
             self.ack_back(rel, src, dst, seq);
         }
         true
@@ -524,10 +521,9 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
     /// says so. With [`Network::enable_reliability`] on, the payload is
     /// stamped with a sequence number and tracked until acknowledged, so
     /// `Sent` means "queued; the fabric will keep trying" — even across a
-    /// link that is down right now. With batching on, a payload may ride
-    /// a [`crate::BatchEnvelope`] with other co-destined traffic; a send
-    /// into an idle direction always flushes immediately, so singleton
-    /// sends pay no batching latency.
+    /// link that is down right now. The payload seals and leaves at once
+    /// as a plain envelope: a single send never waits for company (use
+    /// [`Network::send_many`] to batch co-destined payloads).
     ///
     /// # Errors
     ///
@@ -555,6 +551,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                     dst,
                     class,
                     seq: 0,
+                    batch_left: 0,
                     payload,
                 };
                 Ok(self.transmit(Transfer::Single(env)))
@@ -562,8 +559,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
             Some(rel) => {
                 self.path.stats.record_send(class, payload.wire_size());
                 if rel.coalescing() {
-                    let transfers =
-                        rel.enqueue(src, dst, [(class, payload)], clock::now(), &self.path.stats);
+                    let transfers = rel.enqueue(src, dst, [(class, payload)], &self.path.stats);
                     for t in transfers {
                         self.dispatch(t);
                     }
@@ -573,6 +569,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                         dst,
                         class,
                         seq: rel.alloc_seq(),
+                        batch_left: 0,
                         payload,
                     };
                     rel.track(Transfer::Single(env.clone()));
@@ -585,7 +582,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
 
     /// Send many co-destined payloads from `src` to `dst` in one call.
     ///
-    /// With reliability + batching on, the payloads coalesce into
+    /// With reliability + batching on, the payloads seal at once into
     /// [`crate::BatchEnvelope`]s — one sequence number and one wire hop
     /// per `batch_max`-sized chunk — and share the batch's retransmission
     /// fate. Otherwise this degenerates to a [`Network::send`] per
@@ -612,7 +609,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                 for (class, payload) in &items {
                     self.path.stats.record_send(*class, payload.wire_size());
                 }
-                let transfers = rel.enqueue(src, dst, items, clock::now(), &self.path.stats);
+                let transfers = rel.enqueue(src, dst, items, &self.path.stats);
                 for t in transfers {
                     self.dispatch(t);
                 }
@@ -629,24 +626,6 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                 Ok(worst)
             }
         }
-    }
-
-    /// [`Network::send`], additionally counted as a location-cache hint
-    /// unicast (`net.hint_unicasts`): a single probe sent in place of a
-    /// locator wave. Delivery semantics are identical to `send`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetworkError::UnknownNode`] if either endpoint is out of range.
-    pub fn send_hinted(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        payload: M,
-        class: MessageClass,
-    ) -> Result<SendOutcome, NetworkError> {
-        self.path.stats.record_hint_unicast();
-        self.send(src, dst, payload, class)
     }
 
     /// First transmission attempt of a tracked transfer: over the wire if
@@ -674,12 +653,12 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
     }
 
     /// Switch the fabric to acknowledged, retried transport and start its
-    /// maintenance thread (batch-window flushes, cumulative ack flushes,
-    /// retransmit scans, and heartbeat rounds for the failure detector).
-    /// Idempotent: later calls are ignored.
+    /// maintenance thread (cumulative ack flushes, retransmit scans, and
+    /// heartbeat rounds for the failure detector). Idempotent: later
+    /// calls are ignored.
     ///
     /// The maintenance thread sleeps until the earliest pending deadline
-    /// (retransmit backoff, batch window, or heartbeat), capped at one
+    /// (retransmit backoff or heartbeat), capped at one
     /// `tick`, and is woken early when new work arrives — a 5ms backoff
     /// fires in ~5ms even under a long tick. It holds only a weak
     /// reference to the network and exits once the last `Arc` is gone, so
@@ -724,7 +703,7 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                 let mut last_heartbeat = clock::now();
                 loop {
                     // Sleep until the next deadline — the earliest
-                    // retransmit/batch-window instant or the heartbeat —
+                    // retransmit instant or the heartbeat —
                     // capped at one tick; notify() wakes us early when
                     // new work may move the deadline forward.
                     let now = clock::now();
@@ -738,9 +717,6 @@ impl<M: WireMessage + Clone + Send + 'static> Network<M> {
                     }
                     let Some(net) = weak.upgrade() else { return };
                     let now = clock::now();
-                    for transfer in rel.take_due_batches(now, &net.path.stats) {
-                        net.dispatch(transfer);
-                    }
                     rel.flush_acks(|a, b| net.path.link_up(a, b), &net.path.stats);
                     let (due, given_up) = rel.take_due(now);
                     for transfer in due {
@@ -1610,8 +1586,8 @@ mod reliability_tests {
 
     #[test]
     fn singleton_sends_skip_batching_latency() {
-        // With no response window armed, a lone send must hit the wire
-        // inline — not wait for a batch deadline or maintenance tick.
+        // A lone send must hit the wire inline — not wait for company or
+        // a maintenance tick.
         let net = reliable_net(2);
         let rx = net.take_mailbox(NodeId(1)).unwrap();
         let t0 = crate::clock::now();
@@ -1726,6 +1702,7 @@ mod udp_tests {
             dst: NodeId(1),
             class: MessageClass::Event,
             seq: 0,
+            batch_left: 0,
             payload: "forged".to_string(),
         });
         assert!(!rel.path.deliver(single), "zero-seq single is rejected");

@@ -15,15 +15,15 @@
 //!
 //! # Batched fan-out
 //!
-//! With batching on (the default), co-destined payloads coalesce in a
-//! per-(src, dst) accumulation buffer and cross the wire as one
-//! [`BatchEnvelope`] under one sequence number — one tracked entry, one
-//! retransmission unit, one dedupe decision. A buffer with no flush
-//! deadline pending flushes immediately (so singleton sends pay zero
-//! added latency); a deadline only exists while a *response window* is
-//! armed — when a batch is delivered, the reverse direction expects that
-//! many responses and holds them for up to `batch_deadline` (or until
-//! they all arrive) so receipts ride back coalesced too. Acks are
+//! With batching on (the default), the payloads of one
+//! `Network::send_many` call seal at once into [`BatchEnvelope`]s of at
+//! most `batch_max` payloads, each crossing the wire under one sequence
+//! number: one tracked entry, one retransmission unit, one dedupe
+//! decision. A lone `Network::send` seals a plain envelope, so nothing
+//! ever waits for company and no flush deadline exists. Co-destined
+//! traffic is grouped by the caller that knows it belongs together: the
+//! kernel groups a raise's probes per node, and its loop groups the
+//! receipts a delivered batch produces (DESIGN.md §3d). Acks are
 //! cumulative: delivered seqs buffer per direction and one flush retires
 //! every contiguous run with a single ack message (`net.acks_coalesced`
 //! counts the savings).
@@ -54,8 +54,8 @@ pub struct ReliabilityConfig {
     /// Sampled from the seeded fabric RNG so the chaos soak replays.
     pub jitter: Duration,
     /// Maintenance thread tick: the *longest* the thread sleeps between
-    /// scans. It wakes earlier whenever a retransmit deadline, a batch
-    /// flush window, or a pending ack is due sooner.
+    /// scans. It wakes earlier whenever a retransmit deadline or a
+    /// pending ack is due sooner.
     pub tick: Duration,
     /// Gap between heartbeat rounds of the failure detector.
     pub heartbeat_interval: Duration,
@@ -67,12 +67,9 @@ pub struct ReliabilityConfig {
     /// cumulative acks. On by default; switch off with
     /// [`ReliabilityConfig::with_batching`] for ablation.
     pub batching: bool,
-    /// Most payloads per sealed batch (the size flush threshold).
+    /// Most payloads per sealed batch: a larger `send_many` splits into
+    /// chunks of this size.
     pub batch_max: usize,
-    /// How long a response window holds payloads before the deadline
-    /// flush. Only armed traffic waits; singleton sends with no window
-    /// pending always flush immediately.
-    pub batch_deadline: Duration,
     /// Explicit seed for the jitter RNG; `None` derives one from the
     /// session seed (see `crate::seed`), keeping retransmit ordering
     /// reproducible.
@@ -91,7 +88,6 @@ impl Default for ReliabilityConfig {
             dedupe_window: 1024,
             batching: true,
             batch_max: 32,
-            batch_deadline: Duration::from_millis(1),
             rng_seed: None,
         }
     }
@@ -175,38 +171,15 @@ impl SeenWindow {
     }
 }
 
-/// One direction's accumulation buffer for the batched fan-out path.
-struct BatchSlot<M> {
-    buf: Vec<(MessageClass, M)>,
-    /// Deadline of the armed response window, if any. While armed,
-    /// enqueued payloads wait (for `expect` arrivals or the deadline);
-    /// with no window, flushes are immediate.
-    window: Option<Instant>,
-    /// Payloads the window is waiting for before an early flush.
-    expect: usize,
-}
-
-impl<M> Default for BatchSlot<M> {
-    fn default() -> Self {
-        BatchSlot {
-            buf: Vec::new(),
-            window: None,
-            expect: 0,
-        }
-    }
-}
-
 /// Shared state of the reliability layer: the sequence allocator, the
-/// retransmit queue, the receiver-side dedupe windows, the batch
-/// accumulation slots, and the pending-ack coalescer.
+/// retransmit queue, the receiver-side dedupe windows, the batch chunk
+/// pool, and the pending-ack coalescer.
 pub(crate) struct ReliableState<M> {
     cfg: ReliabilityConfig,
     next_seq: AtomicU64,
     inflight: Mutex<HashMap<u64, Inflight<M>>>,
     /// Keyed by (src, dst) so each direction dedupes independently.
     seen: Mutex<HashMap<(u32, u32), SeenWindow>>,
-    /// Per-direction accumulation buffers (batching only).
-    slots: Mutex<HashMap<(u32, u32), BatchSlot<M>>>,
     /// Delivered-but-unflushed ack seqs per (src, dst) data direction
     /// (batching only; the immediate [`ReliableState::ack`] path is used
     /// when batching is off).
@@ -220,8 +193,8 @@ pub(crate) struct ReliableState<M> {
     /// session seed (see `crate::seed`).
     rng: Mutex<rand::rngs::StdRng>,
     /// Wakeup flag + condvar for the maintenance thread: set whenever new
-    /// work (a tracked entry, a buffered payload, a pending ack) may move
-    /// the earliest deadline forward.
+    /// work (a tracked entry, a pending ack) may move the earliest
+    /// deadline forward.
     wake: Mutex<bool>,
     wake_cond: Condvar,
 }
@@ -245,7 +218,6 @@ impl<M> ReliableState<M> {
             next_seq: AtomicU64::new(1),
             inflight: Mutex::new(HashMap::new()),
             seen: Mutex::new(HashMap::new()),
-            slots: Mutex::new(HashMap::new()),
             pending_acks: Mutex::new(HashMap::new()),
             pool: BufferPool::default(),
             rng: Mutex::new(rand::rngs::StdRng::seed_from_u64(seed)),
@@ -442,159 +414,38 @@ impl<M> ReliableState<M> {
     // Batched fan-out
     // ------------------------------------------------------------------
 
-    /// Append `items` to the (src, dst) accumulation buffer and return
-    /// any transfers that must go out now. With no response window armed
-    /// the buffer flushes immediately (singleton fast path); an armed
-    /// window holds payloads until `expect` arrivals, `batch_max` fill,
-    /// or the window deadline (the maintenance thread handles the last).
+    /// Seal `items` into transfers of at most `batch_max` payloads and
+    /// enqueue each on the retransmit queue, returning them for their
+    /// first transmission. A chunk of one seals as a plain envelope, 2+
+    /// as a batch. Chunk buffers come from the pool, so a warm direction
+    /// seals without allocating.
     pub(crate) fn enqueue(
         &self,
         src: NodeId,
         dst: NodeId,
         items: impl IntoIterator<Item = (MessageClass, M)>,
-        now: Instant,
         stats: &NetStats,
     ) -> Vec<Transfer<M>>
     where
         M: Clone,
     {
-        let mut slots = self.slots.lock();
-        let slot = slots.entry((src.0, dst.0)).or_default();
-        slot.buf.extend(items);
-        if slot.buf.is_empty() {
-            return Vec::new();
-        }
-        let flush = match slot.window {
-            None => true,
-            Some(deadline) => {
-                now >= deadline
-                    || slot.buf.len() >= self.cfg.batch_max
-                    || (slot.expect > 0 && slot.buf.len() >= slot.expect)
-            }
-        };
-        if !flush {
-            drop(slots);
-            // The maintenance thread must wake by the window deadline.
-            self.notify();
-            return Vec::new();
-        }
-        let sealed = Self::seal_slot(
-            &self.cfg,
-            &self.next_seq,
-            &self.inflight,
-            &self.pool,
-            slot,
-            src,
-            dst,
-            stats,
-        );
-        drop(slots);
-        // The sealed transfers are now inflight; their retry deadline may
-        // be sooner than the maintenance thread's current sleep target.
-        self.notify();
-        sealed
-    }
-
-    /// Flush every slot whose window deadline has passed (or that holds
-    /// payloads with no window — a race leftover), returning the sealed
-    /// transfers for transmission. Expired empty windows are disarmed so
-    /// later traffic goes back to immediate flushing.
-    pub(crate) fn take_due_batches(&self, now: Instant, stats: &NetStats) -> Vec<Transfer<M>>
-    where
-        M: Clone,
-    {
+        let mut items = items.into_iter().peekable();
         let mut out = Vec::new();
-        let mut slots = self.slots.lock();
-        for ((src, dst), slot) in slots.iter_mut() {
-            let expired = match slot.window {
-                None => true,
-                Some(w) => now >= w,
-            };
-            if !expired {
-                continue;
-            }
-            if slot.buf.is_empty() {
-                slot.window = None;
-                slot.expect = 0;
-                continue;
-            }
-            out.extend(Self::seal_slot(
-                &self.cfg,
-                &self.next_seq,
-                &self.inflight,
-                &self.pool,
-                slot,
-                NodeId(*src),
-                NodeId(*dst),
-                stats,
-            ));
-        }
-        out
-    }
-
-    /// A batch of `expect` payloads was just delivered src → dst; its
-    /// responses (receipts) will flow dst → src shortly. Arm a response
-    /// window on that reverse direction so they coalesce instead of going
-    /// out one by one.
-    pub(crate) fn arm_response_window(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        expect: usize,
-        now: Instant,
-    ) {
-        if !self.cfg.batching {
-            return;
-        }
-        {
-            let mut slots = self.slots.lock();
-            let slot = slots.entry((src.0, dst.0)).or_default();
-            slot.expect = slot.expect.saturating_add(expect);
-            let deadline = now + self.cfg.batch_deadline;
-            slot.window = Some(match slot.window {
-                Some(w) => w.min(deadline),
-                None => deadline,
-            });
-        }
-        self.notify();
-    }
-
-    /// Drain the slot into sealed transfers (chunks of at most
-    /// `batch_max`), track each for retransmission, and disarm the
-    /// window. Single payloads seal as plain envelopes; 2+ as batches.
-    /// Chunk buffers come from the pool, so a warm direction seals
-    /// without allocating.
-    #[allow(clippy::too_many_arguments)]
-    fn seal_slot(
-        cfg: &ReliabilityConfig,
-        next_seq: &AtomicU64,
-        inflight: &Mutex<HashMap<u64, Inflight<M>>>,
-        pool: &BufferPool<(MessageClass, M)>,
-        slot: &mut BatchSlot<M>,
-        src: NodeId,
-        dst: NodeId,
-        stats: &NetStats,
-    ) -> Vec<Transfer<M>>
-    where
-        M: Clone,
-    {
-        let mut out = Vec::new();
-        let now = crate::clock::now();
-        while !slot.buf.is_empty() {
-            let take = slot.buf.len().min(cfg.batch_max.max(1));
-            let mut chunk = pool.take(stats);
-            chunk.extend(slot.buf.drain(..take));
-            let seq = next_seq.fetch_add(1, Ordering::Relaxed);
+        while items.peek().is_some() {
+            let mut chunk = self.pool.take(stats);
+            chunk.extend(items.by_ref().take(self.cfg.batch_max.max(1)));
+            let seq = self.alloc_seq();
             let transfer = if chunk.len() == 1 {
                 let (class, payload) = chunk.pop().expect("one element");
                 // The chunk's capacity goes straight back: the singleton
                 // fast path is a take → pop → recycle round trip.
-                pool.recycle(chunk, stats);
+                self.pool.recycle(chunk, stats);
                 Transfer::Single(Envelope {
                     src,
                     dst,
                     class,
                     seq,
+                    batch_left: 0,
                     payload,
                 })
             } else {
@@ -606,21 +457,9 @@ impl<M> ReliableState<M> {
                     payloads: chunk,
                 })
             };
-            let backoff = cfg.base_backoff;
-            inflight.lock().insert(
-                seq,
-                Inflight {
-                    transfer: transfer.clone(),
-                    attempts: 0,
-                    backoff,
-                    next_retry: now + backoff,
-                    first_sent: now,
-                },
-            );
+            self.track(transfer.clone());
             out.push(transfer);
         }
-        slot.window = None;
-        slot.expect = 0;
         out
     }
 
@@ -640,35 +479,14 @@ impl<M> ReliableState<M> {
         self.pool.recycle(buf, stats);
     }
 
-    /// The earliest instant at which the maintenance thread has work: the
-    /// soonest retransmit deadline or the soonest armed window holding
-    /// payloads. `None` when nothing is pending.
+    /// The earliest instant at which the maintenance thread has work:
+    /// the soonest retransmit deadline. `None` when nothing is inflight.
     pub(crate) fn earliest_deadline(&self) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        {
-            let inflight = self.inflight.lock();
-            for entry in inflight.values() {
-                earliest = Some(match earliest {
-                    Some(e) => e.min(entry.next_retry),
-                    None => entry.next_retry,
-                });
-            }
-        }
-        {
-            let slots = self.slots.lock();
-            for slot in slots.values() {
-                if slot.buf.is_empty() {
-                    continue;
-                }
-                if let Some(w) = slot.window {
-                    earliest = Some(match earliest {
-                        Some(e) => e.min(w),
-                        None => w,
-                    });
-                }
-            }
-        }
-        earliest
+        self.inflight
+            .lock()
+            .values()
+            .map(|entry| entry.next_retry)
+            .min()
     }
 }
 
@@ -682,6 +500,7 @@ mod tests {
             dst: NodeId(1),
             class: MessageClass::Data,
             seq,
+            batch_left: 0,
             payload: 7,
         }
     }
@@ -843,19 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn singleton_enqueue_flushes_immediately_with_no_window() {
+    fn singleton_enqueue_seals_a_plain_envelope() {
         let s = state(ReliabilityConfig::default());
         let stats = NetStats::new();
-        let out = s.enqueue(
-            NodeId(0),
-            NodeId(1),
-            [(MessageClass::Data, 1u32)],
-            crate::clock::now(),
-            &stats,
-        );
+        let out = s.enqueue(NodeId(0), NodeId(1), [(MessageClass::Data, 1u32)], &stats);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0], Transfer::Single(_)));
-        assert_eq!(s.inflight_len(), 1, "the flush is tracked");
+        assert_eq!(s.inflight_len(), 1, "the seal is tracked");
         assert_eq!(stats.batches_sent(), 0, "a singleton is not a batch");
     }
 
@@ -864,7 +677,7 @@ mod tests {
         let s = state(ReliabilityConfig::default());
         let stats = NetStats::new();
         let items = (0..5u32).map(|i| (MessageClass::Locate, i));
-        let out = s.enqueue(NodeId(0), NodeId(1), items, crate::clock::now(), &stats);
+        let out = s.enqueue(NodeId(0), NodeId(1), items, &stats);
         assert_eq!(out.len(), 1);
         let Transfer::Batch(b) = &out[0] else {
             panic!("expected a batch");
@@ -885,78 +698,34 @@ mod tests {
         let s = state(cfg);
         let stats = NetStats::new();
         let items = (0..10u32).map(|i| (MessageClass::Locate, i));
-        let out = s.enqueue(NodeId(0), NodeId(1), items, crate::clock::now(), &stats);
+        let out = s.enqueue(NodeId(0), NodeId(1), items, &stats);
         let fills: Vec<usize> = out.iter().map(Transfer::payload_count).collect();
         assert_eq!(fills, [4, 4, 2]);
         assert_eq!(s.inflight_len(), 3);
     }
 
     #[test]
-    fn response_window_buffers_until_expect_then_flushes() {
-        let s = state(ReliabilityConfig::default());
-        let stats = NetStats::new();
-        let now = crate::clock::now();
-        s.arm_response_window(NodeId(1), NodeId(0), 3, now);
-        // The first two wait; the third completes the expected set.
-        for i in 0..2u32 {
-            let out = s.enqueue(
-                NodeId(1),
-                NodeId(0),
-                [(MessageClass::Locate, i)],
-                now,
-                &stats,
-            );
-            assert!(out.is_empty(), "armed window buffers payload {i}");
-        }
-        let out = s.enqueue(
-            NodeId(1),
-            NodeId(0),
-            [(MessageClass::Locate, 2u32)],
-            now,
-            &stats,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].payload_count(), 3);
-        // The window disarmed on flush: the next send is immediate again.
-        let out = s.enqueue(
-            NodeId(1),
-            NodeId(0),
-            [(MessageClass::Locate, 9u32)],
-            now,
-            &stats,
-        );
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].payload_count(), 1);
-    }
-
-    #[test]
-    fn expired_window_flushes_via_maintenance_scan() {
+    fn send_many_seals_every_chunk_at_once() {
         let cfg = ReliabilityConfig {
-            batch_deadline: Duration::from_millis(1),
+            batch_max: 4,
             ..Default::default()
         };
         let s = state(cfg);
         let stats = NetStats::new();
-        let now = crate::clock::now();
-        s.arm_response_window(NodeId(1), NodeId(0), 10, now);
-        let out = s.enqueue(
-            NodeId(1),
-            NodeId(0),
-            [(MessageClass::Locate, 1u32), (MessageClass::Locate, 2u32)],
-            now,
-            &stats,
-        );
-        assert!(out.is_empty(), "short of expect, inside the window");
-        assert_eq!(
-            s.earliest_deadline(),
-            Some(now + Duration::from_millis(1)),
-            "the armed window is the earliest deadline"
-        );
-        let before = s.take_due_batches(now, &stats);
-        assert!(before.is_empty(), "window not yet expired");
-        let after = s.take_due_batches(now + Duration::from_millis(2), &stats);
-        assert_eq!(after.len(), 1);
-        assert_eq!(after[0].payload_count(), 2);
+        let before = crate::clock::now();
+        let items = (0..10u32).map(|i| (MessageClass::Locate, i));
+        let out = s.enqueue(NodeId(0), NodeId(1), items, &stats);
+        let after = crate::clock::now();
+        assert_eq!(out.len(), 3, "ceil(10 / batch_max) transfers, none held");
+        assert_eq!(stats.batches_sent(), 3);
+        // The only deadline left is the retransmit backoff of what was
+        // just sealed: no flush deadline exists.
+        let d = s.earliest_deadline().expect("three entries inflight");
+        assert!(d >= before + cfg.base_backoff && d <= after + cfg.base_backoff);
+        for t in &out {
+            s.ack(t.seq(), &stats);
+        }
+        assert_eq!(s.earliest_deadline(), None, "acked: nothing pending");
     }
 
     #[test]
@@ -1003,13 +772,7 @@ mod tests {
         let s = state(ReliabilityConfig::default());
         let stats = NetStats::new();
         for i in 0..100u32 {
-            let out = s.enqueue(
-                NodeId(0),
-                NodeId(1),
-                [(MessageClass::Data, i)],
-                crate::clock::now(),
-                &stats,
-            );
+            let out = s.enqueue(NodeId(0), NodeId(1), [(MessageClass::Data, i)], &stats);
             assert_eq!(out.len(), 1);
         }
         assert_eq!(stats.pool_misses(), 1, "only the cold start allocates");
@@ -1037,7 +800,6 @@ mod tests {
             NodeId(0),
             NodeId(1),
             (1..=3u32).map(|i| (MessageClass::Locate, i)),
-            now,
             &stats,
         );
         let Some(Transfer::Batch(mut batch)) = out.into_iter().next() else {
@@ -1053,7 +815,6 @@ mod tests {
             NodeId(0),
             NodeId(2),
             (7..=9u32).map(|i| (MessageClass::Locate, i)),
-            now,
             &stats,
         );
         assert!(stats.pool_hits() >= 1, "the second seal reuses the buffer");

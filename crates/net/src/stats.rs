@@ -57,8 +57,8 @@ pub struct NetStats {
     /// A batch counts once however many payloads it carries, so
     /// `wire_msgs` vs per-class `sent` is the batching win (E12).
     wire_msgs: Counter,
-    /// Batches sealed from an accumulation buffer (2+ payloads each;
-    /// singleton flushes go out as plain envelopes and do not count).
+    /// Batches sealed from a `send_many` call (2+ payloads each; a lone
+    /// payload goes out as a plain envelope and does not count).
     batches_sent: Counter,
     /// Payloads per sealed batch, recorded as raw units (not time).
     batch_fill: Histogram,
